@@ -11,13 +11,16 @@
 //! each request, the current primary proposes batches from its buffer,
 //! and duplicate suppression happens at execution by request id (a
 //! standard modelling simplification; checkpoints/GC are out of scope).
+//! The request buffer is a FIFO: a batch is cut by popping from its
+//! front, skipping requests already executed, so a batch tick touches
+//! only the requests it takes or drops, never the whole backlog.
 //!
 //! The scaling shape the paper relies on — throughput falling as the
 //! replica count grows — emerges from the primary's O(n) outbound
 //! batches on a bandwidth-limited network ([`LanNet`]) plus the O(n²)
 //! vote traffic.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use decent_sim::prelude::*;
 
@@ -167,7 +170,7 @@ pub struct PbftReplica {
     next_seq: u64,
     log: HashMap<u64, Instance>,
     last_executed: u64,
-    buffer: Vec<Request>,
+    buffer: VecDeque<Request>,
     executed_ids: HashSet<u64>,
     view_votes: HashMap<u64, HashSet<usize>>,
     /// Progress marker used by the view-change watchdog.
@@ -192,7 +195,7 @@ impl PbftReplica {
             next_seq: 1,
             log: HashMap::new(),
             last_executed: 0,
-            buffer: Vec::new(),
+            buffer: VecDeque::new(),
             executed_ids: HashSet::new(),
             view_votes: HashMap::new(),
             progress: 0,
@@ -213,14 +216,12 @@ impl PbftReplica {
 
     /// Buffers a client request (driver entry point).
     pub fn submit(&mut self, id: u64, ctx: &mut Context<'_, PbftMsg>) {
-        self.buffer.push((id, ctx.now()));
+        self.buffer.push_back((id, ctx.now()));
     }
 
     /// Buffers many requests at once (saturation workloads).
     pub fn submit_many(&mut self, ids: impl IntoIterator<Item = u64>, now: SimTime) {
-        for id in ids {
-            self.buffer.push((id, now));
-        }
+        self.buffer.extend(ids.into_iter().map(|id| (id, now)));
     }
 
     fn digest_of(batch: &Batch) -> u64 {
@@ -242,16 +243,22 @@ impl PbftReplica {
         if !self.is_primary() || self.behavior == Behavior::SilentPrimary {
             return;
         }
-        // Propose only requests not already executed (dedup after view
-        // changes) and keep at most one unfinished instance window of
-        // `pipeline` batches in flight to bound memory.
-        self.buffer
-            .retain(|(id, _)| !self.executed_ids.contains(id));
-        if self.buffer.is_empty() {
+        // Cut the batch from the front of the FIFO, skipping requests
+        // already executed: a replica promoted to primary still holds
+        // the requests it executed as a backup.
+        let mut batch = Vec::with_capacity(self.buffer.len().min(self.cfg.batch_max));
+        while batch.len() < self.cfg.batch_max {
+            let Some(req) = self.buffer.pop_front() else {
+                break;
+            };
+            if !self.executed_ids.contains(&req.0) {
+                batch.push(req);
+            }
+        }
+        if batch.is_empty() {
             return;
         }
-        let take = self.buffer.len().min(self.cfg.batch_max);
-        let batch: Batch = Interned::from_vec(self.buffer.drain(..take).collect());
+        let batch: Batch = Interned::from_vec(batch);
         let seq = self.next_seq;
         self.next_seq += 1;
         let digest = Self::digest_of(&batch);
@@ -433,6 +440,9 @@ impl Node for PbftReplica {
                 }
                 inst.batch = Some(batch);
                 inst.digest = digest;
+                // Should this replica become primary, it must resume
+                // after every slot it has seen proposed.
+                self.next_seq = self.next_seq.max(seq + 1);
                 let vote = PbftMsg::Prepare {
                     view,
                     seq,
@@ -475,10 +485,16 @@ impl Node for PbftReplica {
             let marker = tag & 0xFFFF_FFFF;
             // Pending work = unexecuted buffered requests (backups keep
             // their request copies until execution) or stuck instances.
-            let has_work = self
+            // Executed requests are dropped off the front first, so the
+            // buffer is non-empty exactly when it holds unexecuted work.
+            while self
                 .buffer
-                .iter()
-                .any(|(id, _)| !self.executed_ids.contains(id))
+                .front()
+                .is_some_and(|(id, _)| self.executed_ids.contains(id))
+            {
+                self.buffer.pop_front();
+            }
+            let has_work = !self.buffer.is_empty()
                 || self.log.values().any(|i| i.batch.is_some() && !i.committed);
             if has_work && marker == (self.progress & 0xFFFF_FFFF) {
                 // No progress since the watchdog was armed.
@@ -629,6 +645,30 @@ mod tests {
             500,
             "work must complete under the new primary"
         );
+    }
+
+    #[test]
+    fn crashed_primary_is_replaced_without_reusing_executed_slots() {
+        // The new primary has accepted pre-prepares as a backup; it must
+        // resume after them rather than re-propose executed slots, and
+        // its buffer starts with requests that are already executed.
+        let cfg = PbftConfig {
+            view_timeout: SimDuration::from_millis(300.0),
+            ..PbftConfig::default()
+        };
+        let mut sim = Simulation::new(67, LanNet::datacenter());
+        let ids = build_cluster(&mut sim, &cfg, &[]);
+        for &id in &ids {
+            sim.node_mut(id).submit_many(0..20_000, SimTime::ZERO);
+        }
+        sim.schedule_stop(ids[0], SimTime::from_secs(0.05));
+        sim.run_until(SimTime::from_secs(10.0));
+        for &id in &ids[1..] {
+            let r = sim.node(id);
+            assert!(r.view() >= 1, "replica {id} never left view 0");
+            assert_eq!(r.executed.len(), 20_000, "replica {id} stalled");
+            assert_eq!(r.executed_ids.len(), 20_000, "replica {id} stalled");
+        }
     }
 
     #[test]

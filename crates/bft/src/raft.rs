@@ -268,12 +268,15 @@ impl RaftNode {
     /// AppendEntries to every follower.
     fn replicate(&mut self, ctx: &mut Context<'_, RaftMsg>) {
         debug_assert_eq!(self.role, Role::Leader);
-        // Move unapplied buffered requests into the log.
-        let buffered: Vec<(u64, SimTime)> = self.buffer.drain(..).collect();
-        let in_log: HashSet<u64> = self.log[1..].iter().map(|&(_, id, _)| id).collect();
-        for (id, t) in buffered {
-            if !in_log.contains(&id) && !self.applied_ids.contains(&id) {
-                self.log.push((self.term, id, t));
+        // Move unapplied buffered requests into the log. The log index
+        // is built only when there is something to move: an idle
+        // heartbeat then costs O(followers), not O(log).
+        if !self.buffer.is_empty() {
+            let in_log: HashSet<u64> = self.log[1..].iter().map(|&(_, id, _)| id).collect();
+            for (id, t) in self.buffer.drain(..) {
+                if !in_log.contains(&id) && !self.applied_ids.contains(&id) {
+                    self.log.push((self.term, id, t));
+                }
             }
         }
         self.match_index[self.index] = self.last_log_index();
@@ -641,6 +644,28 @@ mod tests {
             1500,
             "recovered node must catch up"
         );
+    }
+
+    #[test]
+    fn leader_appends_each_request_once() {
+        let (mut sim, ids) = cluster(5, 77);
+        sim.run_until(SimTime::from_secs(1.0));
+        let leader = current_leader(&sim, &ids).expect("leader");
+        sim.node_mut(leader)
+            .submit_many(0..100, SimTime::from_secs(1.0));
+        sim.run_until(SimTime::from_secs(2.0));
+        assert_eq!(sim.node(leader).applied.len(), 100);
+        // An idle leader's heartbeats leave its log alone.
+        let len = sim.node(leader).last_log_index();
+        sim.run_until(SimTime::from_secs(3.0));
+        assert_eq!(sim.node(leader).last_log_index(), len);
+        // Re-submitting applied requests appends nothing either.
+        sim.node_mut(leader)
+            .submit_many(0..100, SimTime::from_secs(3.0));
+        sim.run_until(SimTime::from_secs(4.0));
+        let node = sim.node(leader);
+        assert_eq!(node.last_log_index(), len);
+        assert_eq!(node.applied.len(), 100);
     }
 
     #[test]
