@@ -392,8 +392,19 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// The allocation counters are process-global and `cargo test` runs
+    /// tests on parallel threads, so each test here holds this lock
+    /// while it measures.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_counters() -> std::sync::MutexGuard<'static, ()> {
+        // The guarded value is `()`, so a poisoned lock is still valid.
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn counting_allocator_counts() {
+        let _counters = lock_counters();
         let (b0, c0) = alloc_snapshot();
         let v: Vec<u8> = Vec::with_capacity(4096);
         let (b1, c1) = alloc_snapshot();
@@ -404,6 +415,7 @@ mod tests {
 
     #[test]
     fn tiny_measurement_is_well_formed() {
+        let _counters = lock_counters();
         let j = measure(1, 50, 5);
         for key in [
             "shards",
@@ -432,6 +444,7 @@ mod tests {
 
     #[test]
     fn serial_counters_are_deterministic() {
+        let _counters = lock_counters();
         let a = measure(1, 60, 6);
         let b = measure(1, 60, 6);
         for key in [

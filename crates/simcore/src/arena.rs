@@ -104,12 +104,14 @@ impl<N> NodeStore<N> {
         id
     }
 
-    /// Splits the store into per-shard views (`id % shards`), preserving
-    /// ascending id order within each shard. Workers index a shard's
-    /// vector with `id / shards`.
-    pub(crate) fn partition(&mut self, shards: usize) -> Vec<Vec<SlotView<'_, N>>> {
-        let mut parts: Vec<Vec<SlotView<'_, N>>> = (0..shards)
-            .map(|_| Vec::with_capacity(self.nodes.len() / shards + 1))
+    /// Splits the store into per-shard partitions (`id % shards`),
+    /// preserving ascending id order within each shard.
+    pub(crate) fn partition(&mut self, shards: usize) -> Vec<Partition<'_, N>> {
+        let mut parts: Vec<Partition<'_, N>> = (0..shards)
+            .map(|_| Partition {
+                rows: Vec::with_capacity(self.nodes.len() / shards + 1),
+                shards,
+            })
             .collect();
         let metas = self.meta.iter_mut();
         let rngs = self.rngs.iter_mut();
@@ -122,7 +124,7 @@ impl<N> NodeStore<N> {
             .zip(churns)
             .enumerate()
         {
-            parts[id % shards].push(SlotView {
+            parts[id % shards].rows.push(SlotView {
                 node,
                 meta,
                 rng,
@@ -133,13 +135,49 @@ impl<N> NodeStore<N> {
     }
 }
 
-/// A worker-side view of one node's row across the [`NodeStore`]
-/// arrays: what a shard worker needs to dispatch events to the node.
+/// A view of one node's row across the [`NodeStore`] arrays: what the
+/// dispatch core needs to dispatch events to the node.
 pub(crate) struct SlotView<'a, N> {
     pub(crate) node: &'a mut N,
     pub(crate) meta: &'a mut NodeMeta,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) churn: &'a mut Option<ChurnModel>,
+}
+
+/// Row lookup for the dispatch core's drain loop.
+pub(crate) trait Rows<N> {
+    /// The row of node `id`.
+    fn row(&mut self, id: NodeId) -> SlotView<'_, N>;
+}
+
+impl<N> Rows<N> for NodeStore<N> {
+    fn row(&mut self, id: NodeId) -> SlotView<'_, N> {
+        SlotView {
+            node: &mut self.nodes[id],
+            meta: &mut self.meta[id],
+            rng: &mut self.rngs[id],
+            churn: &mut self.churn[id],
+        }
+    }
+}
+
+/// One shard's rows, as handed to a shard worker: the nodes with
+/// `id % shards == shard`, in ascending id order.
+pub(crate) struct Partition<'a, N> {
+    rows: Vec<SlotView<'a, N>>,
+    shards: usize,
+}
+
+impl<N> Rows<N> for Partition<'_, N> {
+    fn row(&mut self, id: NodeId) -> SlotView<'_, N> {
+        let r = &mut self.rows[id / self.shards];
+        SlotView {
+            node: &mut *r.node,
+            meta: &mut *r.meta,
+            rng: &mut *r.rng,
+            churn: &mut *r.churn,
+        }
+    }
 }
 
 /// A generational handle into a [`SlotArena`].

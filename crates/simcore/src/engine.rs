@@ -56,8 +56,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::arena::NodeStore;
-use crate::metrics::{LogHistogram, Metric, MetricsSnapshot};
+use crate::arena::{NodeStore, Rows};
+use crate::dispatch::{self, clamp_end, route, Counters, Depth, SendRec, Sink};
+use crate::metrics::{Metric, MetricsSnapshot};
 use crate::net::NetworkModel;
 use crate::rng::{derive_seed, rng_from_seed, SimRng};
 use crate::sched::{BinaryHeapScheduler, Scheduler, TimingWheel};
@@ -175,6 +176,8 @@ impl<M> Context<'_, M> {
     }
 
     /// Takes this node offline after the current handler completes.
+    /// Does nothing more in [`Node::on_stop`], where the node is
+    /// already going offline.
     pub fn go_offline(&mut self) {
         self.actions.push(Action::GoOffline);
     }
@@ -289,14 +292,9 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// metadata (online/epoch/seq counters), RNG streams and churn
     /// models each in their own dense array (see [`crate::arena`]).
     pub(crate) store: NodeStore<N>,
-    /// Per-node network-model RNG streams, kept outside the store so the
-    /// commit phase of sharded execution can route messages while worker
-    /// threads still hold the node rows.
-    pub(crate) net_rngs: Vec<SimRng>,
-    /// One event queue per shard; events for node `n` live in queue
-    /// `n % shards`. Serial execution uses a single queue.
-    pub(crate) queues: Vec<S>,
-    pub(crate) shards: usize,
+    /// Queues, clock, network model and counters: the serial sink of
+    /// the dispatch core.
+    pub(crate) live: Live<S>,
     /// Monomorphized windowed executor, set by [`Simulation::set_shards`]
     /// (where the `Send` bounds it needs are available).
     windowed: Option<WindowedFn<N, S>>,
@@ -304,20 +302,9 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// can advance node events in parallel and still hand hooks to the
     /// driver serially, in deterministic `(time, seq)` order.
     hooks: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    pub(crate) now: SimTime,
     seed: u64,
     driver_ctr: u32,
-    pub(crate) net: Box<dyn NetworkModel>,
     rng: SimRng,
-    pub(crate) stats: NetStats,
-    pub(crate) events_processed: u64,
-    /// Handler activations: outer iterations of the event loop, where
-    /// one activation may drain several consecutive same-node events
-    /// (batched delivery). Equal to `events_processed` minus hooks when
-    /// no batching occurs; strictly smaller on batchable workloads.
-    /// Deliberately *not* part of [`metrics_snapshot`](Self::metrics_snapshot)
-    /// — it is a cost counter for the bench harness, not an observable.
-    pub(crate) activations: u64,
     /// Conservative windows executed by the sharded path (zero on
     /// serial runs). Like `activations`, a deterministic cost counter
     /// for the bench harness — the per-link lookahead's whole point is
@@ -325,21 +312,78 @@ pub struct Simulation<N: Node, S = TimingWheel<EngineEvent<<N as Node>::Msg>>> {
     /// [`metrics_snapshot`](Self::metrics_snapshot), so window policy
     /// can change without touching observable output.
     pub(crate) windows: u64,
-    /// Events dequeued but discarded without reaching a handler: stale
-    /// timers, deliveries to offline nodes, and redundant start/stop.
-    pub(crate) events_cancelled: u64,
-    /// Events ever pushed (queues and hooks), engine-tracked so the
-    /// count is identical across schedulers and shard counts.
-    pub(crate) scheduled: u64,
-    /// Events currently pending across all queues (hooks excluded).
-    pub(crate) pending: u64,
-    /// High-water mark of `pending`, reconstructed exactly in canonical
-    /// event order under sharded execution.
-    pub(crate) peak_pending: u64,
-    /// Distribution of per-message sizes handed to the network model.
-    pub(crate) msg_bytes: LogHistogram,
     scratch: Vec<Action<N::Msg>>,
+}
+
+/// A simulation's live event state, and the dispatch core's serial
+/// [`Sink`]: each send is routed through the network model as soon as
+/// its handler returns, straight into the live queues.
+pub(crate) struct Live<S> {
+    /// One event queue per shard; events for node `n` live in queue
+    /// `n % shards`. Serial execution uses a single queue.
+    pub(crate) queues: Vec<S>,
+    /// Per-node network-model RNG streams, kept outside the store so the
+    /// commit phase of sharded execution can route messages while worker
+    /// threads still hold the node rows.
+    pub(crate) net_rngs: Vec<SimRng>,
+    pub(crate) net: Box<dyn NetworkModel>,
+    pub(crate) now: SimTime,
+    /// Event-loop and message counters. `activations` is deliberately
+    /// *not* part of [`Simulation::metrics_snapshot`]: it is a cost
+    /// counter for the bench harness, not an observable.
+    pub(crate) counters: Counters,
+    pub(crate) depth: Depth,
     pub(crate) trace: Option<Trace>,
+}
+
+impl<M: Clone, S: Scheduler<EngineEvent<M>>> Sink<M> for Live<S> {
+    type Queue = S;
+
+    fn queue(&mut self) -> &mut S {
+        &mut self.queues[0]
+    }
+
+    fn counters(&mut self) -> &mut Counters {
+        &mut self.counters
+    }
+
+    fn dispatched(&mut self, time: SimTime, _seq: u64, node: NodeId, tag: EventTag) {
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.depth.pending -= 1;
+        if let Some(trace) = &mut self.trace {
+            trace.record(time, node, tag);
+        }
+    }
+
+    fn push(&mut self, time: SimTime, seq: u64, ev: EngineEvent<M>) {
+        self.depth.push(1);
+        place(&mut self.queues, time, seq, ev);
+    }
+
+    fn send(&mut self, s: SendRec<M>) {
+        let queues = &mut self.queues;
+        let rng = &mut self.net_rngs[s.src];
+        route(
+            &mut *self.net,
+            rng,
+            &mut self.counters.net,
+            &mut self.depth,
+            s,
+            |t, seq, ev| place(queues, t, seq, ev),
+        );
+    }
+}
+
+/// Schedules `ev` in the queue of its node's shard.
+fn place<M, S: Scheduler<EngineEvent<M>>>(
+    queues: &mut [S],
+    time: SimTime,
+    seq: u64,
+    ev: EngineEvent<M>,
+) {
+    let qi = ev.node % queues.len();
+    queues[qi].schedule(time, seq, ev);
 }
 
 impl<N: Node> Simulation<N> {
@@ -369,27 +413,22 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     pub fn with_scheduler(seed: u64, net: impl NetworkModel + 'static) -> Self {
         Simulation {
             store: NodeStore::new(),
-            net_rngs: Vec::new(),
-            queues: vec![S::new()],
-            shards: 1,
+            live: Live {
+                queues: vec![S::new()],
+                net_rngs: Vec::new(),
+                net: Box::new(net),
+                now: SimTime::ZERO,
+                counters: Counters::default(),
+                depth: Depth::default(),
+                trace: None,
+            },
             windowed: None,
             hooks: BinaryHeap::new(),
-            now: SimTime::ZERO,
             seed,
             driver_ctr: 0,
-            net: Box::new(net),
             rng: rng_from_seed(seed),
-            stats: NetStats::default(),
-            events_processed: 0,
-            activations: 0,
             windows: 0,
-            events_cancelled: 0,
-            scheduled: 0,
-            pending: 0,
-            peak_pending: 0,
-            msg_bytes: LogHistogram::new(),
             scratch: Vec::new(),
-            trace: None,
         }
     }
 
@@ -413,20 +452,17 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         S: Send,
     {
         let shards = shards.max(1);
-        if shards == self.shards {
+        if shards == self.shards() {
             return;
         }
-        let mut all: Vec<(SimTime, u64, EngineEvent<N::Msg>)> =
-            Vec::with_capacity(self.pending as usize);
-        for q in &mut self.queues {
-            while let Some(e) = q.pop() {
-                all.push(e);
+        let old = std::mem::replace(
+            &mut self.live.queues,
+            (0..shards).map(|_| S::new()).collect(),
+        );
+        for mut q in old {
+            while let Some((t, s, ev)) = q.pop() {
+                place(&mut self.live.queues, t, s, ev);
             }
-        }
-        self.shards = shards;
-        self.queues = (0..shards).map(|_| S::new()).collect();
-        for (t, s, ev) in all {
-            self.queues[ev.node % shards].schedule(t, s, ev);
         }
         self.windowed = if shards > 1 {
             Some(crate::shard::windowed_advance::<N, S> as fn(&mut Simulation<N, S>, SimTime, bool))
@@ -437,24 +473,24 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
 
     /// The number of execution shards (1 = serial).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.live.queues.len()
     }
 
     /// Starts tracing dispatched events, retaining the most recent
     /// `capacity` records (counters are unbounded). See
     /// [`Trace`].
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
+        self.live.trace = Some(Trace::new(capacity));
     }
 
     /// The trace, if enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.live.trace.as_ref()
     }
 
     /// Adds a node and schedules its start at the current time.
     pub fn add_node(&mut self, node: N) -> NodeId {
-        self.add_node_at(node, self.now)
+        self.add_node_at(node, self.live.now)
     }
 
     /// Adds a node and schedules its start at `at`.
@@ -463,7 +499,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     ///
     /// Panics if `at` is in the past.
     pub fn add_node_at(&mut self, node: N, at: SimTime) -> NodeId {
-        assert!(at >= self.now, "cannot start a node in the past");
+        assert!(at >= self.live.now, "cannot start a node in the past");
         let id = self.store.len();
         assert!(
             (id as u64) < DRIVER_ORIGIN as u64,
@@ -471,17 +507,10 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         );
         self.store
             .push(node, rng_from_seed(derive_seed(self.seed, 2 * id as u64)));
-        self.net_rngs
+        self.live
+            .net_rngs
             .push(rng_from_seed(derive_seed(self.seed, 2 * id as u64 + 1)));
-        let seq = self.next_driver_seq();
-        self.push_at(
-            at,
-            seq,
-            EngineEvent {
-                node: id,
-                kind: EventKind::Start,
-            },
-        );
+        self.push_driver(at, id, EventKind::Start);
         id
     }
 
@@ -496,42 +525,18 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
             .then(|| model.sample_session(&mut self.store.rngs[id]));
         self.store.churn[id] = Some(model);
         if let Some(session) = session {
-            let seq = self.next_driver_seq();
-            self.push_at(
-                self.now + session,
-                seq,
-                EngineEvent {
-                    node: id,
-                    kind: EventKind::Stop,
-                },
-            );
+            self.push_driver(self.live.now + session, id, EventKind::Stop);
         }
     }
 
     /// Schedules the node to stop (go offline) at `at`.
     pub fn schedule_stop(&mut self, id: NodeId, at: SimTime) {
-        let seq = self.next_driver_seq();
-        self.push_at(
-            at,
-            seq,
-            EngineEvent {
-                node: id,
-                kind: EventKind::Stop,
-            },
-        );
+        self.push_driver(at, id, EventKind::Stop);
     }
 
     /// Schedules the node to start (come online) at `at`.
     pub fn schedule_start(&mut self, id: NodeId, at: SimTime) {
-        let seq = self.next_driver_seq();
-        self.push_at(
-            at,
-            seq,
-            EngineEvent {
-                node: id,
-                kind: EventKind::Start,
-            },
-        );
+        self.push_driver(at, id, EventKind::Start);
     }
 
     /// Schedules a driver hook with `tag` at `at`.
@@ -540,21 +545,14 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// and in scheduling order among themselves.
     pub fn schedule_hook(&mut self, at: SimTime, tag: u64) {
         let seq = self.next_driver_seq();
-        self.scheduled += 1;
+        self.live.depth.scheduled += 1;
         self.hooks.push(Reverse((at, seq, tag)));
     }
 
     /// Injects a message from [`EXTERNAL`] to `dst`, delivered after `delay`.
     pub fn inject(&mut self, dst: NodeId, msg: N::Msg, delay: SimDuration) {
-        let seq = self.next_driver_seq();
-        self.push_at(
-            self.now + delay,
-            seq,
-            EngineEvent {
-                node: dst,
-                kind: EventKind::Deliver { src: EXTERNAL, msg },
-            },
-        );
+        let at = self.live.now + delay;
+        self.push_driver(at, dst, EventKind::Deliver { src: EXTERNAL, msg });
     }
 
     /// Runs `f` against node `id` with a live [`Context`], applying any
@@ -567,19 +565,9 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         id: NodeId,
         f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>) -> R,
     ) -> R {
-        let mut actions = std::mem::take(&mut self.scratch);
-        let out = {
-            let mut ctx = Context {
-                now: self.now,
-                id,
-                rng: &mut self.store.rngs[id],
-                actions: &mut actions,
-            };
-            f(&mut self.store.nodes[id], &mut ctx)
-        };
-        self.apply_actions(id, &mut actions);
-        self.scratch = actions;
-        out
+        let now = self.live.now;
+        let row = &mut self.store.row(id);
+        dispatch::apply(row, id, now, &mut self.live, &mut self.scratch, f)
     }
 
     /// Immutable access to a node's state.
@@ -616,23 +604,23 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.live.now
     }
 
     /// Network counters.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.live.counters.net
     }
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.live.counters.processed
     }
 
     /// Events dequeued but discarded without reaching a handler (stale
     /// timers, deliveries to offline nodes, redundant starts/stops).
     pub fn events_cancelled(&self) -> u64 {
-        self.events_cancelled
+        self.live.counters.cancelled
     }
 
     /// Handler activations so far: outer event-loop iterations, each of
@@ -640,7 +628,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// node (batched delivery). A deterministic cost counter for the
     /// bench harness; not part of the metrics snapshot.
     pub fn activations(&self) -> u64 {
-        self.activations
+        self.live.counters.activations
     }
 
     /// Conservative windows executed by the sharded path so far (zero
@@ -662,27 +650,33 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// implementation detail), so serialized snapshots are byte-stable
     /// across runs, machines, schedulers, and shard counts.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let Live {
+            counters: c,
+            depth,
+            net,
+            ..
+        } = &self.live;
         let mut m = MetricsSnapshot::new();
-        m.set_counter("events_scheduled", self.scheduled);
-        m.set_counter("events_fired", self.events_processed);
-        m.set_counter("events_cancelled", self.events_cancelled);
-        m.set_peak("peak_queue_depth", self.peak_pending);
-        m.set_counter("messages_sent", self.stats.sent);
-        m.set_counter("messages_delivered", self.stats.delivered);
-        m.set_counter("messages_dropped_offline", self.stats.dropped_offline);
-        m.set_counter("messages_dropped_net", self.stats.dropped_net);
-        m.set_counter("bytes_sent", self.stats.bytes_sent);
-        m.set("message_bytes", Metric::Dist(self.msg_bytes.clone()));
+        m.set_counter("events_scheduled", depth.scheduled);
+        m.set_counter("events_fired", c.processed);
+        m.set_counter("events_cancelled", c.cancelled);
+        m.set_peak("peak_queue_depth", depth.peak);
+        m.set_counter("messages_sent", c.net.sent);
+        m.set_counter("messages_delivered", c.net.delivered);
+        m.set_counter("messages_dropped_offline", c.net.dropped_offline);
+        m.set_counter("messages_dropped_net", c.net.dropped_net);
+        m.set_counter("bytes_sent", c.net.bytes_sent);
+        m.set("message_bytes", Metric::Dist(c.msg_bytes.clone()));
         // Fault-injection metrics exist only when the network model is a
         // [`Faulty`](crate::fault::Faulty) wrapper, so snapshots of
         // fault-free simulations are byte-identical to earlier releases.
-        if let Some(fs) = self.net.fault_stats() {
+        if let Some(fs) = net.fault_stats() {
             m.set_counter("faults_activated", fs.activated);
             m.set_peak("faults_active", fs.peak_active);
             m.set_counter("msgs_dropped_partition", fs.dropped_partition);
             m.set_counter("msgs_dropped_degraded", fs.dropped_degraded);
             m.set_counter("msgs_delayed_degraded", fs.delayed_degraded);
-            m.set_counter("msgs_duplicated", self.stats.duplicated);
+            m.set_counter("msgs_duplicated", c.net.duplicated);
             m.set(
                 "partition_duration_ms",
                 Metric::Dist(fs.partition_duration_ms),
@@ -710,15 +704,7 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
                 Some(&Reverse((t, _, _))) if t <= deadline => {
                     // All node events strictly before the hook, then the hook.
                     self.advance_events(t, false);
-                    let Reverse((t, _seq, tag)) = self.hooks.pop().expect("peeked");
-                    if self.now < t {
-                        self.now = t;
-                    }
-                    self.events_processed += 1;
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(t, 0, EventTag::Hook);
-                    }
-                    driver.on_hook(tag, self);
+                    self.fire_hook(driver);
                 }
                 _ => {
                     self.advance_events(deadline, true);
@@ -743,106 +729,84 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => {
-                if self.now < deadline && deadline != SimTime::MAX {
-                    self.now = deadline;
+                if self.live.now < deadline && deadline != SimTime::MAX {
+                    self.live.now = deadline;
                 }
                 return false;
             }
         };
         let head = if hook_first { hook_time } else { event_time }.expect("chosen head");
         if head > deadline {
-            self.now = deadline;
+            self.live.now = deadline;
             return false;
         }
         if hook_first {
-            let Reverse((t, _seq, tag)) = self.hooks.pop().expect("peeked");
-            if self.now < t {
-                self.now = t;
-            }
-            self.events_processed += 1;
-            if let Some(trace) = &mut self.trace {
-                trace.record(t, 0, EventTag::Hook);
-            }
-            driver.on_hook(tag, self);
+            self.fire_hook(driver);
         } else {
-            let (time, _seq, ev) = self.pop_next_event().expect("peeked");
-            debug_assert!(time >= self.now, "time went backwards");
-            self.now = time;
-            self.events_processed += 1;
-            self.activations += 1;
-            self.pending -= 1;
-            self.dispatch(ev);
+            self.dispatch_next();
         }
         true
     }
 
+    /// Pops the earliest hook, advances the clock to it, counts and
+    /// traces it, and hands it to `driver`.
+    fn fire_hook(&mut self, driver: &mut impl Driver<N, S>) {
+        let Reverse((t, _seq, tag)) = self.hooks.pop().expect("a pending hook");
+        if self.live.now < t {
+            self.live.now = t;
+        }
+        self.live.counters.processed += 1;
+        if let Some(trace) = &mut self.live.trace {
+            trace.record(t, 0, EventTag::Hook);
+        }
+        driver.on_hook(tag, self);
+    }
+
     /// Advances node events up to `limit` using the configured execution
-    /// strategy (`inclusive` controls whether events *at* `limit` fire).
+    /// strategy (`inclusive` controls whether events *at* `limit` fire),
+    /// then moves the clock to an inclusive `limit`.
     fn advance_events(&mut self, limit: SimTime, inclusive: bool) {
         match self.windowed {
             Some(f) => f(self, limit, inclusive),
             None => self.advance_serial(limit, inclusive),
         }
+        if self.live.now < limit && inclusive && limit != SimTime::MAX {
+            self.live.now = limit;
+        }
     }
 
-    /// Serial event loop: merged `(time, seq)`-ordered pops across all
-    /// queues. This is both the `shards == 1` main path and the fallback
-    /// for sharded simulations whose network model has no usable
-    /// lookahead (degenerate windows must not deadlock or reorder).
-    ///
-    /// With a single queue, consecutive events bound for the same node
-    /// are drained in one *activation* (batched delivery): the node's
-    /// row stays hot in cache across the whole run of its due events.
-    /// Each batched event is still the exact queue head at the moment it
-    /// is popped — a handler can schedule a same-time event that sorts
-    /// *before* an already-queued one, so the peek-then-pop discipline
-    /// (never pop ahead) is what keeps the order byte-identical to the
-    /// unbatched loop.
+    /// Serial event loop: the dispatch core's drain over the single
+    /// queue (`shards == 1`). Also the fallback for sharded simulations
+    /// whose network model has no usable lookahead (degenerate windows
+    /// must not deadlock or reorder): merged `(time, seq)`-ordered pops
+    /// across all queues, one event per activation.
     pub(crate) fn advance_serial(&mut self, limit: SimTime, inclusive: bool) {
-        loop {
-            let Some(head) = self.next_event_time() else {
-                if self.now < limit && inclusive && limit != SimTime::MAX {
-                    self.now = limit;
-                }
-                return;
-            };
-            if head > limit || (head == limit && !inclusive) {
-                if self.now < limit && inclusive && limit != SimTime::MAX {
-                    self.now = limit;
-                }
-                return;
-            }
-            let (time, _seq, ev) = self.pop_next_event().expect("peeked");
-            debug_assert!(time >= self.now, "time went backwards");
-            self.now = time;
-            self.events_processed += 1;
-            self.activations += 1;
-            self.pending -= 1;
-            let node = ev.node;
-            self.dispatch(ev);
-            if self.shards == 1 {
-                // Same activation: drain queue-head events for the same
-                // node while they remain within the advance bound.
-                loop {
-                    match self.queues[0].peek() {
-                        Some((t, _s, next))
-                            if next.node == node && !(t > limit || (t == limit && !inclusive)) => {}
-                        _ => break,
-                    }
-                    let (time, _seq, ev) = self.queues[0].pop().expect("peeked");
-                    debug_assert!(time >= self.now, "time went backwards");
-                    self.now = time;
-                    self.events_processed += 1;
-                    self.pending -= 1;
-                    self.dispatch(ev);
-                }
-            }
+        let end = clamp_end(SimTime::MAX, limit, inclusive);
+        if self.shards() == 1 {
+            dispatch::drain(&mut self.store, &mut self.live, &mut self.scratch, end);
+            return;
         }
+        while self.next_event_time().is_some_and(|t| t < end) {
+            self.dispatch_next();
+        }
+    }
+
+    /// Pops the globally earliest event and dispatches it as one
+    /// activation.
+    fn dispatch_next(&mut self) {
+        let (time, seq, ev) = self.pop_next_event().expect("peeked");
+        self.live.counters.activations += 1;
+        let row = &mut self.store.row(ev.node);
+        dispatch::dispatch(row, time, seq, ev, &mut self.live, &mut self.scratch);
     }
 
     /// Earliest pending node-event time across all queues.
     fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queues.iter_mut().filter_map(|q| q.next_time()).min()
+        self.live
+            .queues
+            .iter_mut()
+            .filter_map(|q| q.next_time())
+            .min()
     }
 
     /// Pops the globally earliest `(time, seq)` event. With one queue
@@ -850,12 +814,13 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
     /// seq (losers are re-scheduled, which the [`Scheduler`] contract
     /// permits at the dequeue frontier).
     fn pop_next_event(&mut self) -> Option<(SimTime, u64, EngineEvent<N::Msg>)> {
-        if self.shards == 1 {
-            return self.queues[0].pop();
+        let queues = &mut self.live.queues;
+        if queues.len() == 1 {
+            return queues[0].pop();
         }
         let mut best: Option<(SimTime, u64, usize, EngineEvent<N::Msg>)> = None;
-        for qi in 0..self.queues.len() {
-            let Some(t) = self.queues[qi].next_time() else {
+        for qi in 0..queues.len() {
+            let Some(t) = queues[qi].next_time() else {
                 continue;
             };
             if let Some((bt, _, _, _)) = &best {
@@ -863,14 +828,14 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
                     continue;
                 }
             }
-            let (t, s, ev) = self.queues[qi].pop().expect("peeked");
+            let (t, s, ev) = queues[qi].pop().expect("peeked");
             match best.take() {
                 Some((bt, bs, bqi, bev)) => {
                     if (t, s) < (bt, bs) {
-                        self.queues[bqi].schedule(bt, bs, bev);
+                        queues[bqi].schedule(bt, bs, bev);
                         best = Some((t, s, qi, ev));
                     } else {
-                        self.queues[qi].schedule(t, s, ev);
+                        queues[qi].schedule(t, s, ev);
                         best = Some((bt, bs, bqi, bev));
                     }
                 }
@@ -880,215 +845,27 @@ impl<N: Node, S: SchedulerFor<N>> Simulation<N, S> {
         best.map(|(t, s, _, ev)| (t, s, ev))
     }
 
-    fn dispatch(&mut self, ev: EngineEvent<N::Msg>) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(self.now, ev.node, ev.tag());
-        }
-        match ev.kind {
-            EventKind::Deliver { src, msg } => {
-                if !self.store.meta[ev.node].online {
-                    self.stats.dropped_offline += 1;
-                    self.events_cancelled += 1;
-                    return;
-                }
-                self.stats.delivered += 1;
-                self.with_node(ev.node, |node, ctx| node.on_message(src, msg, ctx));
-            }
-            EventKind::Timer { tag, epoch } => {
-                let meta = &self.store.meta[ev.node];
-                if !meta.online || meta.timer_epoch != epoch {
-                    self.events_cancelled += 1;
-                    return; // stale timer from before an offline period
-                }
-                self.with_node(ev.node, |node, ctx| node.on_timer(tag, ctx));
-            }
-            EventKind::Start => {
-                if self.store.meta[ev.node].online {
-                    self.events_cancelled += 1;
-                    return;
-                }
-                self.store.meta[ev.node].online = true;
-                self.with_node(ev.node, |node, ctx| node.on_start(ctx));
-                let session = self.store.churn[ev.node]
-                    .as_ref()
-                    .map(|c| c.sample_session(&mut self.store.rngs[ev.node]));
-                if let Some(session) = session {
-                    let seq = self.store.meta[ev.node].next_seq(ev.node);
-                    self.push_at(
-                        self.now + session,
-                        seq,
-                        EngineEvent {
-                            node: ev.node,
-                            kind: EventKind::Stop,
-                        },
-                    );
-                }
-            }
-            EventKind::Stop => {
-                if !self.store.meta[ev.node].online {
-                    self.events_cancelled += 1;
-                    return;
-                }
-                self.with_node(ev.node, |node, ctx| node.on_stop(ctx));
-                self.take_offline(ev.node);
-                let off = self.store.churn[ev.node]
-                    .as_ref()
-                    .map(|c| c.sample_offtime(&mut self.store.rngs[ev.node]));
-                if let Some(off) = off {
-                    let seq = self.store.meta[ev.node].next_seq(ev.node);
-                    self.push_at(
-                        self.now + off,
-                        seq,
-                        EngineEvent {
-                            node: ev.node,
-                            kind: EventKind::Start,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn take_offline(&mut self, id: NodeId) {
-        let meta = &mut self.store.meta[id];
-        meta.online = false;
-        meta.timer_epoch = meta.timer_epoch.wrapping_add(1);
-    }
-
-    fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>)) {
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Context {
-                now: self.now,
-                id,
-                rng: &mut self.store.rngs[id],
-                actions: &mut actions,
-            };
-            f(&mut self.store.nodes[id], &mut ctx);
-        }
-        self.apply_actions(id, &mut actions);
-        self.scratch = actions;
-    }
-
-    fn apply_actions(&mut self, id: NodeId, actions: &mut Vec<Action<N::Msg>>) {
-        let mut offline = false;
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { dst, msg, bytes } => {
-                    self.stats.sent += 1;
-                    self.stats.bytes_sent += bytes;
-                    self.msg_bytes.record(bytes);
-                    let (seq_deliver, seq_dup) = self.store.meta[id].reserve_send_seqs(id);
-                    self.route_send(id, dst, msg, bytes, self.now, seq_deliver, seq_dup);
-                }
-                Action::Timer { delay, tag } => {
-                    let meta = &mut self.store.meta[id];
-                    let epoch = meta.timer_epoch;
-                    let seq = meta.next_seq(id);
-                    self.push_at(
-                        self.now + delay,
-                        seq,
-                        EngineEvent {
-                            node: id,
-                            kind: EventKind::Timer { tag, epoch },
-                        },
-                    );
-                }
-                Action::GoOffline => offline = true,
-            }
-        }
-        if offline && self.store.meta[id].online {
-            self.take_offline(id);
-            let off = self.store.churn[id]
-                .as_ref()
-                .map(|c| c.sample_offtime(&mut self.store.rngs[id]));
-            if let Some(off) = off {
-                let seq = self.store.meta[id].next_seq(id);
-                self.push_at(
-                    self.now + off,
-                    seq,
-                    EngineEvent {
-                        node: id,
-                        kind: EventKind::Start,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Routes one send through the network model, drawing from the
-    /// sender's network stream. Used identically by the serial path and
-    /// the sharded commit phase, which is what pins their equivalence.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn route_send(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        msg: N::Msg,
-        bytes: u64,
-        at: SimTime,
-        seq_deliver: u64,
-        seq_dup: u64,
-    ) {
-        match self.net.delay(src, dst, bytes, at, &mut self.net_rngs[src]) {
-            Some(d) => {
-                // Fault-injected duplication: a no-op (and no RNG draw)
-                // for every plain network model.
-                if let Some(d2) = self
-                    .net
-                    .duplicate(src, dst, bytes, at, &mut self.net_rngs[src])
-                {
-                    self.stats.duplicated += 1;
-                    self.push_at(
-                        at + d2,
-                        seq_dup,
-                        EngineEvent {
-                            node: dst,
-                            kind: EventKind::Deliver {
-                                src,
-                                msg: msg.clone(),
-                            },
-                        },
-                    );
-                }
-                self.push_at(
-                    at + d,
-                    seq_deliver,
-                    EngineEvent {
-                        node: dst,
-                        kind: EventKind::Deliver { src, msg },
-                    },
-                );
-            }
-            None => self.stats.dropped_net += 1,
-        }
-    }
-
     pub(crate) fn next_driver_seq(&mut self) -> u64 {
         let c = self.driver_ctr;
         self.driver_ctr += 1;
         pack_seq(DRIVER_ORIGIN, c)
     }
 
-    pub(crate) fn push_at(&mut self, time: SimTime, seq: u64, ev: EngineEvent<N::Msg>) {
-        self.scheduled += 1;
-        self.pending += 1;
-        if self.pending > self.peak_pending {
-            self.peak_pending = self.pending;
-        }
-        let qi = ev.node % self.shards;
-        self.queues[qi].schedule(time, seq, ev);
+    /// Schedules a driver-originated event for `node` at `at`.
+    fn push_driver(&mut self, at: SimTime, node: NodeId, kind: EventKind<N::Msg>) {
+        let seq = self.next_driver_seq();
+        self.live.push(at, seq, EngineEvent { node, kind });
     }
 }
 
 impl<N: Node, S: SchedulerFor<N>> std::fmt::Debug for Simulation<N, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("now", &self.now)
+            .field("now", &self.live.now)
             .field("nodes", &self.store.len())
-            .field("shards", &self.shards)
-            .field("pending", &self.pending)
-            .field("stats", &self.stats)
+            .field("shards", &self.shards())
+            .field("pending", &self.live.depth.pending)
+            .field("stats", self.stats())
             .finish()
     }
 }
@@ -1218,6 +995,48 @@ mod tests {
         assert!(!sim.is_online(a));
         assert!(sim.is_online(b));
         assert_eq!(sim.online_nodes(), vec![b]);
+    }
+
+    #[test]
+    fn go_offline_in_on_stop_changes_nothing() {
+        struct Leaver {
+            leave_on_stop: bool,
+            starts: u32,
+        }
+        impl Node for Leaver {
+            type Msg = ();
+            fn on_start(&mut self, _ctx: &mut Context<'_, ()>) {
+                self.starts += 1;
+            }
+            fn on_message(&mut self, _: NodeId, _: (), _: &mut Context<'_, ()>) {}
+            fn on_stop(&mut self, ctx: &mut Context<'_, ()>) {
+                if self.leave_on_stop {
+                    ctx.go_offline();
+                }
+            }
+        }
+        // A stop takes the node offline once: one epoch bump, one
+        // off-time draw and one restart, whether or not `on_stop` also
+        // asks to go offline.
+        let run = |leave_on_stop| {
+            let mut sim = Simulation::new(3, ConstantLatency::from_millis(1.0));
+            let a = sim.add_node(Leaver {
+                leave_on_stop,
+                starts: 0,
+            });
+            sim.set_churn(
+                a,
+                ChurnModel::exponential(SimDuration::from_secs(10.0), SimDuration::from_secs(10.0)),
+            );
+            sim.run_until(SimTime::from_secs(200.0));
+            (
+                sim.events_processed(),
+                sim.events_cancelled(),
+                sim.node(a).starts,
+                sim.metrics_snapshot(),
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

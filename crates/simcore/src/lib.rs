@@ -55,6 +55,7 @@
 
 pub mod arena;
 pub mod churn;
+mod dispatch;
 pub mod dist;
 pub mod engine;
 pub mod fault;

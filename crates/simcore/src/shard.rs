@@ -24,16 +24,21 @@
 //! would commit events out of global `(time, seq)` order and break
 //! byte-identity with the serial engine.
 //!
-//! Cross-shard effects are reconciled in a serial *commit phase* after
-//! every window: the per-shard dispatch logs are merged by repeatedly
-//! taking the smallest `(time, seq)` head — exactly the order the
-//! serial engine would have popped them — and along that canonical
-//! order the engine replays its bookkeeping (trace, queue-depth
-//! accounting) and routes every send through the network model using
-//! the sender's own RNG stream. Because sequence numbers are
-//! origin-packed and RNG streams are per-node (see the determinism
-//! notes in [`crate::engine`]), the resulting event schedule, metrics,
-//! and node states are byte-identical to a serial run.
+//! Workers run the same dispatch core as the serial loop
+//! ([`crate::dispatch`]: one `drain`, one `dispatch`); only the sink
+//! differs. A worker's [`Log`] sink pushes a node's own timers and
+//! churn events into the shard's queue and logs every dispatch and
+//! send. After every window a serial *commit phase* merges the
+//! per-shard logs by repeatedly taking the smallest `(time, seq)` head
+//! — exactly the order the serial engine pops events in — and along
+//! that order replays each dispatch on the simulation's live sink
+//! (clock, trace, queue depth) and routes its sends through the shared
+//! `route`, drawing from the sender's own network RNG stream, into the
+//! destination shards' feeds for the next window. Because sequence
+//! numbers are origin-packed and RNG streams are per-node (see the
+//! determinism notes in [`crate::engine`]), the resulting event
+//! schedule, metrics, and node states are byte-identical to a serial
+//! run.
 //!
 //! Models without a positive lookahead (or degenerate windows at the
 //! end of time) fall back to serial-equivalent stepping rather than
@@ -42,11 +47,10 @@
 // decent-lint: allow(D010) reason="the executor's own window-barrier plumbing: workers park here deterministically (DESIGN.md §4i)"
 use std::sync::mpsc::{Receiver, Sender};
 
-use crate::arena::SlotView;
-use crate::engine::{
-    Action, Context, EngineEvent, EventKind, Node, NodeId, SchedulerFor, Simulation,
-};
-use crate::metrics::LogHistogram;
+use crate::arena::Partition;
+use crate::dispatch::{self, clamp_end, route, Counters, SendRec, Sink};
+use crate::engine::{EngineEvent, Node, NodeId, SchedulerFor, Simulation};
+use crate::sched::Scheduler;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::EventTag;
 
@@ -68,51 +72,19 @@ struct DispatchRec {
     node: NodeId,
     tag: EventTag,
     /// Events this dispatch pushed into the worker's own queue
-    /// (timers, churn start/stop) — replayed into the pending-depth
+    /// (timers, churn start/stop) — replayed into the queue-depth
     /// accounting during commit.
     pushes: u32,
-    /// Exclusive end of this dispatch's range in the window's send log
-    /// (the start is the previous record's `send_end`).
-    send_end: u32,
-}
-
-/// One send, deferred to the commit phase for network-model routing.
-struct SendRec<M> {
-    src: NodeId,
-    dst: NodeId,
-    msg: M,
-    bytes: u64,
-    time: SimTime,
-    seq_deliver: u64,
-    seq_dup: u64,
-}
-
-/// Worker command for one window.
-enum Cmd<M> {
-    Run {
-        /// Exclusive end of the window.
-        end: SimTime,
-        /// Cross-shard deliveries committed in earlier windows.
-        feed: Feed<M>,
-    },
-    Stop,
+    /// Sends this dispatch logged: the next `sends` entries of the
+    /// window's send log.
+    sends: u32,
 }
 
 /// Everything a worker produced in one window.
 struct WindowOut<M> {
     recs: Vec<DispatchRec>,
     sends: Vec<SendRec<M>>,
-    processed: u64,
-    /// Handler activations (batched outer-loop iterations) this window.
-    activations: u64,
-    cancelled: u64,
-    delivered: u64,
-    dropped_offline: u64,
-    sent: u64,
-    bytes_sent: u64,
-    msg_bytes: LogHistogram,
-    /// Events the worker pushed into its own queue this window.
-    local_scheduled: u64,
+    counters: Counters,
     /// Earliest remaining event in the worker's queue after the window.
     next_time: Option<SimTime>,
 }
@@ -122,37 +94,73 @@ impl<M> WindowOut<M> {
         WindowOut {
             recs: Vec::new(),
             sends: Vec::new(),
-            processed: 0,
-            activations: 0,
-            cancelled: 0,
-            delivered: 0,
-            dropped_offline: 0,
-            sent: 0,
-            bytes_sent: 0,
-            msg_bytes: LogHistogram::new(),
-            local_scheduled: 0,
+            counters: Counters::default(),
             next_time: None,
         }
     }
 }
 
-/// Exclusive end of the window opening at `start`: one lookahead ahead,
-/// capped at the advance bound (the homogeneous special case of the
-/// per-shard computation in the main loop; kept for the unit tests).
-#[cfg(test)]
-fn window_end(start: SimTime, la: SimDuration, limit: SimTime, inclusive: bool) -> SimTime {
-    clamp_end(start + la, limit, inclusive)
+/// A shard worker's sink: a node's own follow-up events go straight to
+/// the shard's queue; dispatches and sends are logged for the commit
+/// phase.
+struct Log<M, S> {
+    queue: S,
+    out: WindowOut<M>,
+    shard: usize,
+    /// Activations so far: the stress hook's clock.
+    ticks: u64,
 }
 
-/// Caps a raw window end at the advance bound (one nanosecond past it
-/// when the bound is inclusive, so limit-time events still drain).
-fn clamp_end(raw: SimTime, limit: SimTime, inclusive: bool) -> SimTime {
-    let cap = if inclusive {
-        SimTime::from_nanos(limit.as_nanos().saturating_add(1))
-    } else {
-        limit
-    };
-    raw.min(cap)
+impl<M, S> Log<M, S> {
+    /// The record of the dispatch in progress.
+    fn current(&mut self) -> &mut DispatchRec {
+        self.out
+            .recs
+            .last_mut()
+            .expect("effects come from a dispatch")
+    }
+}
+
+impl<M: Clone, S: Scheduler<EngineEvent<M>>> Sink<M> for Log<M, S> {
+    type Queue = S;
+
+    fn queue(&mut self) -> &mut S {
+        &mut self.queue
+    }
+
+    fn counters(&mut self) -> &mut Counters {
+        &mut self.out.counters
+    }
+
+    fn dispatched(&mut self, time: SimTime, seq: u64, node: NodeId, tag: EventTag) {
+        self.out.recs.push(DispatchRec {
+            time,
+            seq,
+            node,
+            tag,
+            pushes: 0,
+            sends: 0,
+        });
+    }
+
+    fn push(&mut self, time: SimTime, seq: u64, ev: EngineEvent<M>) {
+        self.current().pushes += 1;
+        self.queue.schedule(time, seq, ev);
+    }
+
+    fn send(&mut self, send: SendRec<M>) {
+        self.current().sends += 1;
+        self.out.sends.push(send);
+    }
+
+    fn activation(&mut self) {
+        // Interleaving stress hook: a no-op unless a test set a
+        // perturbation seed (crate::stress). Placed on the activation
+        // path so perturbed schedules shift *between* dispatches, where
+        // cross-shard races would hide.
+        crate::stress::perturb(self.shard, self.ticks);
+        self.ticks += 1;
+    }
 }
 
 /// Per-source-shard window allowance: the cheapest outgoing link of
@@ -196,60 +204,47 @@ where
     N::Msg: Send,
     S: SchedulerFor<N> + Send,
 {
-    let la = match sim.net.lookahead() {
+    let la = match sim.live.net.lookahead() {
         Some(la) if !la.is_zero() => la,
         // No conservative window exists (adaptive latency, or a model
         // that can deliver instantly): degrade to the serial loop,
         // which pops the same (time, seq) order one event at a time.
         _ => return sim.advance_serial(limit, inclusive),
     };
-    let shards = sim.shards;
+    let shards = sim.shards();
     debug_assert!(shards > 1, "windowed executor installed for serial sim");
     let row_la = row_lookaheads(
-        sim.net.shard_lookahead(sim.len(), shards),
+        sim.live.net.shard_lookahead(sim.len(), shards),
         la,
         sim.len(),
         shards,
     );
 
-    let queues: Vec<S> = std::mem::take(&mut sim.queues);
-    // Disjoint field borrows: workers take the node rows, the commit
-    // phase owns the network model, RNG streams, and counters.
+    // Disjoint field borrows: workers take the node rows and the
+    // queues; the commit phase replays onto the live sink.
     let Simulation {
         store,
-        net_rngs,
-        queues: queues_slot,
-        net,
-        stats,
-        trace,
-        now,
-        events_processed,
-        activations,
+        live,
         windows,
-        events_cancelled,
-        scheduled,
-        pending,
-        peak_pending,
-        msg_bytes,
         ..
     } = sim;
-
+    let queues: Vec<S> = std::mem::take(&mut live.queues);
     let parts = store.partition(shards);
 
     let mut returned: Vec<S> = Vec::with_capacity(shards);
     let mut leftover_feeds: Vec<Feed<N::Msg>> = Vec::new();
     std::thread::scope(|sc| {
-        let mut cmd_txs: Vec<Sender<Cmd<N::Msg>>> = Vec::with_capacity(shards);
+        let mut cmd_txs: Vec<Sender<(SimTime, Feed<N::Msg>)>> = Vec::with_capacity(shards);
         let mut out_rxs: Vec<Receiver<WindowOut<N::Msg>>> = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for (i, (part, queue)) in parts.into_iter().zip(queues).enumerate() {
+            // One command per window: its exclusive end and the
+            // cross-shard deliveries committed in earlier windows.
             // decent-lint: allow(D010) reason="window-barrier command channel: send/recv pairs are fully ordered by the merge loop"
-            let (cmd_tx, cmd_rx) = std::sync::mpsc::channel::<Cmd<N::Msg>>();
+            let (cmd_tx, cmd_rx) = std::sync::mpsc::channel::<(SimTime, Feed<N::Msg>)>();
             // decent-lint: allow(D010) reason="window-barrier result channel: one message per window, joined before commit"
             let (out_tx, out_rx) = std::sync::mpsc::channel::<WindowOut<N::Msg>>();
-            handles.push(
-                sc.spawn(move || worker_main::<N, S>(i, shards, part, queue, cmd_rx, out_tx)),
-            );
+            handles.push(sc.spawn(move || worker_main::<N, S>(i, part, queue, cmd_rx, out_tx)));
             cmd_txs.push(cmd_tx);
             out_rxs.push(out_rx);
         }
@@ -258,11 +253,7 @@ where
         // (nothing can fire strictly before time zero).
         let mut heads: Vec<Option<SimTime>> = vec![None; shards];
         for tx in &cmd_txs {
-            tx.send(Cmd::Run {
-                end: SimTime::ZERO,
-                feed: Vec::new(),
-            })
-            .expect("worker alive");
+            tx.send((SimTime::ZERO, Vec::new())).expect("worker alive");
         }
         for (i, rx) in out_rxs.iter().enumerate() {
             let out = rx.recv().expect("worker alive");
@@ -302,25 +293,13 @@ where
             }
             *windows += 1;
             for (tx, feed) in cmd_txs.iter().zip(feeds.iter_mut()) {
-                tx.send(Cmd::Run {
-                    end,
-                    feed: std::mem::take(feed),
-                })
-                .expect("worker alive");
+                tx.send((end, std::mem::take(feed))).expect("worker alive");
             }
             let mut outs: Vec<WindowLogs<N::Msg>> = Vec::with_capacity(shards);
             for (i, rx) in out_rxs.iter().enumerate() {
                 let out = rx.recv().expect("worker alive");
                 heads[i] = out.next_time;
-                *events_processed += out.processed;
-                *activations += out.activations;
-                *events_cancelled += out.cancelled;
-                *scheduled += out.local_scheduled;
-                stats.delivered += out.delivered;
-                stats.dropped_offline += out.dropped_offline;
-                stats.sent += out.sent;
-                stats.bytes_sent += out.bytes_sent;
-                msg_bytes.merge(&out.msg_bytes);
+                live.counters.merge(&out.counters);
                 outs.push((out.recs.into_iter(), out.sends.into_iter()));
             }
 
@@ -329,12 +308,12 @@ where
             // the exact order the serial engine pops events in (each log
             // is itself (time, seq)-sorted, and within a window no
             // dispatch can create an earlier-sorting event for another
-            // shard). Along that order we replay the engine bookkeeping
-            // and route sends, drawing from each sender's own network
-            // RNG stream — the same calls in the same order as serial.
+            // shard). Along that order we replay each dispatch on the
+            // live sink and route its sends, drawing from each sender's
+            // own network RNG stream — the same calls in the same order
+            // as serial.
             let mut rec_heads: Vec<Option<DispatchRec>> =
                 outs.iter_mut().map(|(r, _)| r.next()).collect();
-            let mut send_cursor = vec![0u32; shards];
             loop {
                 let mut best: Option<(SimTime, u64, usize)> = None;
                 for (i, h) in rec_heads.iter().enumerate() {
@@ -348,70 +327,25 @@ where
                 let rec = rec_heads[i].take().expect("chosen head");
                 rec_heads[i] = outs[i].0.next();
 
-                debug_assert!(rec.time >= *now, "commit went backwards in time");
-                *now = rec.time;
-                if let Some(tr) = trace.as_mut() {
-                    tr.record(rec.time, rec.node, rec.tag);
-                }
-                *pending -= 1;
-                *pending += rec.pushes as u64;
-                if *pending > *peak_pending {
-                    *peak_pending = *pending;
-                }
-                while send_cursor[i] < rec.send_end {
-                    send_cursor[i] += 1;
+                live.dispatched(rec.time, rec.seq, rec.node, rec.tag);
+                live.depth.push(u64::from(rec.pushes));
+                for _ in 0..rec.sends {
                     let s = outs[i].1.next().expect("send log matches records");
-                    // Twin of Simulation::route_send, pushing into the
-                    // next window's feeds instead of live queues.
-                    match net.delay(s.src, s.dst, s.bytes, s.time, &mut net_rngs[s.src]) {
-                        Some(d) => {
-                            if let Some(d2) =
-                                net.duplicate(s.src, s.dst, s.bytes, s.time, &mut net_rngs[s.src])
-                            {
-                                stats.duplicated += 1;
-                                push_feed(
-                                    &mut feeds,
-                                    shards,
-                                    s.time + d2,
-                                    s.seq_dup,
-                                    EngineEvent {
-                                        node: s.dst,
-                                        kind: EventKind::Deliver {
-                                            src: s.src,
-                                            msg: s.msg.clone(),
-                                        },
-                                    },
-                                    scheduled,
-                                    pending,
-                                    peak_pending,
-                                );
-                            }
-                            push_feed(
-                                &mut feeds,
-                                shards,
-                                s.time + d,
-                                s.seq_deliver,
-                                EngineEvent {
-                                    node: s.dst,
-                                    kind: EventKind::Deliver {
-                                        src: s.src,
-                                        msg: s.msg,
-                                    },
-                                },
-                                scheduled,
-                                pending,
-                                peak_pending,
-                            );
-                        }
-                        None => stats.dropped_net += 1,
-                    }
+                    let rng = &mut live.net_rngs[s.src];
+                    route(
+                        &mut *live.net,
+                        rng,
+                        &mut live.counters.net,
+                        &mut live.depth,
+                        s,
+                        |t, seq, ev| feeds[ev.node % shards].push((t, seq, ev)),
+                    );
                 }
             }
         }
 
-        for tx in &cmd_txs {
-            let _ = tx.send(Cmd::Stop);
-        }
+        // Hanging up ends every worker's loop; each returns its queue.
+        drop(cmd_txs);
         for h in handles {
             returned.push(h.join().expect("shard worker panicked"));
         }
@@ -425,331 +359,52 @@ where
             returned[qi].schedule(t, s, ev);
         }
     }
-    *queues_slot = returned;
-    if *now < limit && inclusive && limit != SimTime::MAX {
-        *now = limit;
-    }
+    live.queues = returned;
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_feed<M>(
-    feeds: &mut [Feed<M>],
-    shards: usize,
-    time: SimTime,
-    seq: u64,
-    ev: EngineEvent<M>,
-    scheduled: &mut u64,
-    pending: &mut u64,
-    peak_pending: &mut u64,
-) {
-    *scheduled += 1;
-    *pending += 1;
-    if *pending > *peak_pending {
-        *peak_pending = *pending;
-    }
-    feeds[ev.node % shards].push((time, seq, ev));
-}
-
-/// Per-shard worker loop: drain the shard's queue window by window,
-/// logging dispatches and deferring sends to the commit phase. Returns
-/// the queue when told to stop so the engine can resume serially.
-///
-/// Consecutive queue-head events bound for the same node drain in one
-/// *activation* (batched delivery): the node's row is indexed once per
-/// batch and stays hot across its due events. The peek-then-pop
-/// discipline guarantees each batched event is still the exact queue
-/// head, so the per-event dispatch log — and therefore the committed
-/// order — is byte-identical to the unbatched drain.
+/// Per-shard worker loop: drains the shard's queue window by window
+/// through the dispatch core, logging dispatches and sends for the
+/// commit phase. Returns the queue when the coordinator hangs up so
+/// the engine can resume serially.
 fn worker_main<N, S>(
     shard: usize,
-    shards: usize,
-    mut part: Vec<SlotView<'_, N>>,
-    mut queue: S,
-    rx: Receiver<Cmd<N::Msg>>,
+    mut rows: Partition<'_, N>,
+    queue: S,
+    rx: Receiver<(SimTime, Feed<N::Msg>)>,
     tx: Sender<WindowOut<N::Msg>>,
 ) -> S
 where
     N: Node,
     S: SchedulerFor<N>,
 {
-    let mut scratch: Vec<Action<N::Msg>> = Vec::new();
-    let mut ticks: u64 = 0;
-    while let Ok(cmd) = rx.recv() {
-        let Cmd::Run { end, feed } = cmd else { break };
-        let mut out = WindowOut::new();
+    let mut sink = Log {
+        queue,
+        out: WindowOut::new(),
+        shard,
+        ticks: 0,
+    };
+    let mut scratch = Vec::new();
+    while let Ok((end, feed)) = rx.recv() {
         for (t, s, ev) in feed {
-            queue.schedule(t, s, ev);
+            sink.queue.schedule(t, s, ev);
         }
-        while let Some(t) = queue.next_time() {
-            if t >= end {
-                break;
-            }
-            // Interleaving stress hook: a no-op unless a test set a
-            // perturbation seed (crate::stress). Placed on the
-            // activation path so perturbed schedules shift *between*
-            // dispatches, where cross-shard races would hide.
-            crate::stress::perturb(shard, ticks);
-            ticks += 1;
-            let (time, seq, ev) = queue.pop().expect("peeked");
-            let node = ev.node;
-            out.processed += 1;
-            out.activations += 1;
-            let mut rec = DispatchRec {
-                time,
-                seq,
-                node,
-                tag: ev.tag(),
-                pushes: 0,
-                send_end: 0,
-            };
-            dispatch_local(
-                &mut part[node / shards],
-                node,
-                ev.kind,
-                time,
-                &mut queue,
-                &mut out,
-                &mut rec,
-                &mut scratch,
-            );
-            rec.send_end = out.sends.len() as u32;
-            out.recs.push(rec);
-            // Batched continuation: same node, still inside the window.
-            loop {
-                match queue.peek() {
-                    Some((t, _s, next)) if next.node == node && t < end => {}
-                    _ => break,
-                }
-                let (time, seq, ev) = queue.pop().expect("peeked");
-                out.processed += 1;
-                let mut rec = DispatchRec {
-                    time,
-                    seq,
-                    node,
-                    tag: ev.tag(),
-                    pushes: 0,
-                    send_end: 0,
-                };
-                dispatch_local(
-                    &mut part[node / shards],
-                    node,
-                    ev.kind,
-                    time,
-                    &mut queue,
-                    &mut out,
-                    &mut rec,
-                    &mut scratch,
-                );
-                rec.send_end = out.sends.len() as u32;
-                out.recs.push(rec);
-            }
-        }
-        out.next_time = queue.next_time();
-        if tx.send(out).is_err() {
+        dispatch::drain(&mut rows, &mut sink, &mut scratch, end);
+        sink.out.next_time = sink.queue.next_time();
+        if tx
+            .send(std::mem::replace(&mut sink.out, WindowOut::new()))
+            .is_err()
+        {
             break;
         }
     }
-    queue
-}
-
-/// Twin of [`Simulation::dispatch`] running inside a worker: identical
-/// cancellation rules, handler invocation, and churn discipline, with
-/// local pushes going to the shard's own queue and sends logged for the
-/// commit phase. Any behavioural change here must be mirrored there
-/// (and vice versa) or sharded runs stop being byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_local<N, S>(
-    slot: &mut SlotView<'_, N>,
-    id: NodeId,
-    kind: EventKind<N::Msg>,
-    now: SimTime,
-    queue: &mut S,
-    out: &mut WindowOut<N::Msg>,
-    rec: &mut DispatchRec,
-    scratch: &mut Vec<Action<N::Msg>>,
-) where
-    N: Node,
-    S: SchedulerFor<N>,
-{
-    match kind {
-        EventKind::Deliver { src, msg } => {
-            if !slot.meta.online {
-                out.dropped_offline += 1;
-                out.cancelled += 1;
-                return;
-            }
-            out.delivered += 1;
-            run_handler(slot, id, now, scratch, |n, ctx| n.on_message(src, msg, ctx));
-            apply_local(slot, id, now, queue, out, rec, scratch);
-        }
-        EventKind::Timer { tag, epoch } => {
-            if !slot.meta.online || slot.meta.timer_epoch != epoch {
-                out.cancelled += 1;
-                return;
-            }
-            run_handler(slot, id, now, scratch, |n, ctx| n.on_timer(tag, ctx));
-            apply_local(slot, id, now, queue, out, rec, scratch);
-        }
-        EventKind::Start => {
-            if slot.meta.online {
-                out.cancelled += 1;
-                return;
-            }
-            slot.meta.online = true;
-            run_handler(slot, id, now, scratch, |n, ctx| n.on_start(ctx));
-            apply_local(slot, id, now, queue, out, rec, scratch);
-            let session = slot.churn.as_ref().map(|c| c.sample_session(slot.rng));
-            if let Some(session) = session {
-                let seq = slot.meta.next_seq(id);
-                push_local(
-                    queue,
-                    now + session,
-                    seq,
-                    EngineEvent {
-                        node: id,
-                        kind: EventKind::Stop,
-                    },
-                    out,
-                    rec,
-                );
-            }
-        }
-        EventKind::Stop => {
-            if !slot.meta.online {
-                out.cancelled += 1;
-                return;
-            }
-            run_handler(slot, id, now, scratch, |n, ctx| n.on_stop(ctx));
-            apply_local(slot, id, now, queue, out, rec, scratch);
-            slot.meta.online = false;
-            slot.meta.timer_epoch = slot.meta.timer_epoch.wrapping_add(1);
-            let off = slot.churn.as_ref().map(|c| c.sample_offtime(slot.rng));
-            if let Some(off) = off {
-                let seq = slot.meta.next_seq(id);
-                push_local(
-                    queue,
-                    now + off,
-                    seq,
-                    EngineEvent {
-                        node: id,
-                        kind: EventKind::Start,
-                    },
-                    out,
-                    rec,
-                );
-            }
-        }
-    }
-}
-
-fn run_handler<N: Node>(
-    slot: &mut SlotView<'_, N>,
-    id: NodeId,
-    now: SimTime,
-    actions: &mut Vec<Action<N::Msg>>,
-    f: impl FnOnce(&mut N, &mut Context<'_, N::Msg>),
-) {
-    let mut ctx = Context {
-        now,
-        id,
-        rng: slot.rng,
-        actions,
-    };
-    f(slot.node, &mut ctx);
-}
-
-/// Twin of [`Simulation::apply_actions`]: drains deferred effects in
-/// handler order, reserving the same seqs and counting the same stats.
-fn apply_local<N, S>(
-    slot: &mut SlotView<'_, N>,
-    id: NodeId,
-    now: SimTime,
-    queue: &mut S,
-    out: &mut WindowOut<N::Msg>,
-    rec: &mut DispatchRec,
-    actions: &mut Vec<Action<N::Msg>>,
-) where
-    N: Node,
-    S: SchedulerFor<N>,
-{
-    let mut offline = false;
-    for action in actions.drain(..) {
-        match action {
-            Action::Send { dst, msg, bytes } => {
-                out.sent += 1;
-                out.bytes_sent += bytes;
-                out.msg_bytes.record(bytes);
-                let (seq_deliver, seq_dup) = slot.meta.reserve_send_seqs(id);
-                out.sends.push(SendRec {
-                    src: id,
-                    dst,
-                    msg,
-                    bytes,
-                    time: now,
-                    seq_deliver,
-                    seq_dup,
-                });
-            }
-            Action::Timer { delay, tag } => {
-                let epoch = slot.meta.timer_epoch;
-                let seq = slot.meta.next_seq(id);
-                push_local(
-                    queue,
-                    now + delay,
-                    seq,
-                    EngineEvent {
-                        node: id,
-                        kind: EventKind::Timer { tag, epoch },
-                    },
-                    out,
-                    rec,
-                );
-            }
-            Action::GoOffline => offline = true,
-        }
-    }
-    if offline && slot.meta.online {
-        slot.meta.online = false;
-        slot.meta.timer_epoch = slot.meta.timer_epoch.wrapping_add(1);
-        let off = slot.churn.as_ref().map(|c| c.sample_offtime(slot.rng));
-        if let Some(off) = off {
-            let seq = slot.meta.next_seq(id);
-            push_local(
-                queue,
-                now + off,
-                seq,
-                EngineEvent {
-                    node: id,
-                    kind: EventKind::Start,
-                },
-                out,
-                rec,
-            );
-        }
-    }
-}
-
-fn push_local<N, S>(
-    queue: &mut S,
-    time: SimTime,
-    seq: u64,
-    ev: EngineEvent<N::Msg>,
-    out: &mut WindowOut<N::Msg>,
-    rec: &mut DispatchRec,
-) where
-    N: Node,
-    S: SchedulerFor<N>,
-{
-    out.local_scheduled += 1;
-    rec.pushes += 1;
-    queue.schedule(time, seq, ev);
+    sink.queue
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::churn::ChurnModel;
-    use crate::engine::{NetStats, EXTERNAL};
+    use crate::engine::{Context, NetStats, EXTERNAL};
     use crate::net::{ConstantLatency, UniformLatency};
     use crate::sched::{BinaryHeapScheduler, TimingWheel};
     use crate::trace::EventRecord;
@@ -802,6 +457,11 @@ mod tests {
             }
             if self.timers.len() < 20 {
                 ctx.set_timer(SimDuration::from_millis(700.0), tag + 1);
+            }
+            // Churned nodes (every third id in `run`) now and then leave
+            // on their own, so sharded runs take the `go_offline` path.
+            if ctx.id().is_multiple_of(3) && tag % 4 == 2 {
+                ctx.go_offline();
             }
         }
 
@@ -983,17 +643,17 @@ mod tests {
         let la = SimDuration::from_millis(10.0);
         let t = SimTime::from_secs(1.0);
         assert_eq!(
-            window_end(t, la, SimTime::from_secs(10.0), false),
+            clamp_end(t + la, SimTime::from_secs(10.0), false),
             t + la,
             "uncapped window is one lookahead wide"
         );
         assert_eq!(
-            window_end(t, la, SimTime::from_secs(1.005), false),
+            clamp_end(t + la, SimTime::from_secs(1.005), false),
             SimTime::from_secs(1.005),
             "exclusive bound caps the window"
         );
         assert_eq!(
-            window_end(t, la, t, true),
+            clamp_end(t + la, t, true),
             SimTime::from_nanos(t.as_nanos() + 1),
             "inclusive bound admits events at the limit itself"
         );
