@@ -96,10 +96,16 @@ const STRONG_ORDERINGS: &[&str] = &["Acquire", "Release", "AcqRel", "SeqCst"];
 /// std::sync::Mutex as Lock;` still trips the rule.
 const BLOCKING_SYNC: &[&str] = &["Mutex", "RwLock", "Condvar", "mpsc"];
 
-/// Keyed unstable sorts whose output permutation is unspecified under
-/// key ties (D009). Plain `sort_unstable()` is exempt: equal elements
-/// are indistinguishable, so every permutation serializes identically.
-const UNSTABLE_KEYED_SORTS: &[&str] = &["sort_unstable_by", "sort_unstable_by_key"];
+/// Keyed unstable sorts and selections whose output permutation is
+/// unspecified under key ties (D009). Plain `sort_unstable()` is
+/// exempt: equal elements are indistinguishable, so every permutation
+/// serializes identically.
+const UNSTABLE_KEYED_SORTS: &[&str] = &[
+    "sort_unstable_by",
+    "sort_unstable_by_key",
+    "select_nth_unstable_by",
+    "select_nth_unstable_by_key",
+];
 
 /// Crates whose code feeds simulations (D001/D004/D006–D010 apply).
 /// Everything in the workspace gets D002/D003/D005.
@@ -551,10 +557,10 @@ fn scan_float_cmp(code: &[&Tok], findings: &mut BTreeSet<(u32, Rule, String)>) {
     }
 }
 
-/// D009: keyed unstable sorts. The output permutation is unspecified
-/// whenever the key ties distinct elements, so each site must carry a
-/// pragma arguing the key is injective over the slice (or switch to the
-/// stable sort). Plain `sort_unstable()` is exempt — see
+/// D009: keyed unstable sorts and selections. The output permutation
+/// is unspecified whenever the key ties distinct elements, so each site
+/// must carry a pragma arguing the key is injective over the slice (or
+/// switch to the stable sort). Plain `sort_unstable()` is exempt — see
 /// [`UNSTABLE_KEYED_SORTS`].
 fn scan_unstable_sort(code: &[&Tok], findings: &mut BTreeSet<(u32, Rule, String)>) {
     for i in 0..code.len() {
@@ -1073,6 +1079,17 @@ mod tests {
                    xs.sort_unstable();\n\
                    xs.sort_unstable_by_key(|x| x.0);\n\
                    xs.sort_unstable_by(|a, b| a.0.cmp(&b.0));\n\
+                   }";
+        assert_eq!(rules_at(src, true), vec![(3, "D009"), (4, "D009")]);
+        assert_eq!(rules_at(src, false), vec![]);
+    }
+
+    #[test]
+    fn keyed_unstable_selections_flagged_plain_select_exempt() {
+        let src = "fn f(xs: &mut Vec<(u64, u64)>) {\n\
+                   xs.select_nth_unstable(1);\n\
+                   xs.select_nth_unstable_by_key(1, |x| x.0);\n\
+                   xs.select_nth_unstable_by(1, |a, b| a.0.cmp(&b.0));\n\
                    }";
         assert_eq!(rules_at(src, true), vec![(3, "D009"), (4, "D009")]);
         assert_eq!(rules_at(src, false), vec![]);

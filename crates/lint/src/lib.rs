@@ -26,7 +26,8 @@
 //!   documenting the discipline.
 //! - **D008** — `.partial_cmp(..)` comparators (floats are not totally
 //!   ordered; `total_cmp` is).
-//! - **D009** — keyed unstable sorts (`sort_unstable_by(_key)`) without
+//! - **D009** — keyed unstable sorts and selections
+//!   (`sort_unstable_by(_key)`, `select_nth_unstable_by(_key)`) without
 //!   a pragma-documented injectivity argument.
 //! - **D010** — blocking synchronization (`Mutex`, `RwLock`, `mpsc`,
 //!   `Condvar`) in sim-facing crates.

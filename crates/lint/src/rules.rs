@@ -38,9 +38,10 @@ pub enum Rule {
     /// comparator can panic (NaN) or — worse — let the sort produce an
     /// implementation-defined permutation. Use `f64::total_cmp`.
     D008,
-    /// `sort_unstable_by`/`sort_unstable_by_key` in a sim-facing crate
-    /// without a pragma-documented injectivity argument: when the key
-    /// can tie between distinct elements, the unstable sort's output
+    /// `sort_unstable_by`/`sort_unstable_by_key` (or the
+    /// `select_nth_unstable_by`/`_by_key` selections) in a sim-facing
+    /// crate without a pragma-documented injectivity argument: when the
+    /// key can tie between distinct elements, the unstable sort's output
     /// permutation is unspecified and may leak into observable order.
     D009,
     /// Blocking synchronization (`Mutex`, `RwLock`, `mpsc`, `Condvar`)
@@ -190,12 +191,13 @@ impl Rule {
                  order over every bit pattern and costs the same."
             }
             Rule::D009 => {
-                "sort_unstable_by(_key) gives an unspecified permutation whenever the \
-                 comparator ties distinct elements, and 'unspecified' may change across rustc \
-                 releases — silently reordering observable output. Either the key is \
-                 injective over the slice (document that with a pragma) or the sort must be \
-                 stable. Plain sort_unstable() on the element's own Ord is exempt: equal \
-                 elements are indistinguishable, so every permutation serializes identically."
+                "sort_unstable_by(_key) and select_nth_unstable_by(_key) give an unspecified \
+                 permutation whenever the comparator ties distinct elements, and \
+                 'unspecified' may change across rustc releases — silently reordering \
+                 observable output. Either the key is injective over the slice (document \
+                 that with a pragma) or the sort must be stable. Plain sort_unstable() on the \
+                 element's own Ord is exempt: equal elements are indistinguishable, so every \
+                 permutation serializes identically."
             }
             Rule::D010 => {
                 "A Mutex/RwLock/Condvar or mpsc channel in sim-facing code means some \

@@ -3,6 +3,7 @@
 //! Kademlia interprets [`Key`]s under the XOR metric; Chord interprets
 //! them as points on a mod-2^160 ring. Both views are provided here.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use rand::Rng;
@@ -92,6 +93,23 @@ impl Key {
             *out = a ^ b;
         }
         Distance(Key(d))
+    }
+
+    /// Orders `a` and `b` by XOR distance from `self`: equal to
+    /// `a.xor_distance(self).cmp(&b.xor_distance(self))`, but compares
+    /// big-endian words instead of building two [`Distance`]s.
+    pub fn cmp_distance(&self, a: &Key, b: &Key) -> Ordering {
+        let (th, tl) = self.words();
+        let (ah, al) = a.words();
+        let (bh, bl) = b.words();
+        (ah ^ th, al ^ tl).cmp(&(bh ^ th, bl ^ tl))
+    }
+
+    /// The key as a big-endian `(high 128 bits, low 32 bits)` pair, whose
+    /// tuple order is the key's numeric order.
+    fn words(&self) -> (u128, u32) {
+        let [hi @ .., a, b, c, d] = self.0;
+        (u128::from_be_bytes(hi), u32::from_be_bytes([a, b, c, d]))
     }
 
     /// Bit `i` (0 is the most significant).

@@ -22,12 +22,13 @@
 //! byte-identical — while [`crate::kadnet`] runs the same core over
 //! real TCP sockets.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use decent_net::{Protocol, Transport};
 use decent_sim::prelude::*;
 
-use crate::id::{Distance, Key, KEY_BITS};
+use crate::id::{Key, KEY_BITS};
 
 /// A `(simulation node, overlay key)` pair — one routing-table entry.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -150,9 +151,8 @@ enum EntryState {
     Failed,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 struct ShortEntry {
-    dist: Distance,
     contact: Contact,
     state: EntryState,
 }
@@ -165,7 +165,10 @@ struct Lookup {
     target: Key,
     is_value: bool,
     started: SimTime,
+    /// Sorted by `(distance to target, node)`, unique by node.
     shortlist: Vec<ShortEntry>,
+    /// The shortlist's node ids, sorted: dedup in O(log n) per contact.
+    known: Vec<NodeId>,
     inflight: usize,
     rpcs: usize,
     timeouts: usize,
@@ -194,6 +197,8 @@ pub struct KadNode {
     cfg: KadConfig,
     responsive: bool,
     sybil_directory: Option<Vec<Contact>>,
+    // Indexed by shared-prefix length, grown on first insert: a table
+    // of n nodes only reaches about log2(n) buckets, not KEY_BITS.
     buckets: Vec<Vec<BucketEntry>>,
     // Ordered collections throughout: today every access is a point
     // lookup, but the determinism contract (DESIGN.md §4e) wants the
@@ -224,7 +229,7 @@ impl KadNode {
             cfg,
             responsive: true,
             sybil_directory: None,
-            buckets: vec![Vec::new(); KEY_BITS],
+            buckets: Vec::new(),
             store: BTreeSet::new(),
             lookups: SlotArena::new(),
             rpc_to_lookup: Vec::new(),
@@ -259,10 +264,7 @@ impl KadNode {
         if let Some(dir) = &self.sybil_directory {
             self.scratch.extend_from_slice(dir);
         }
-        self.scratch
-            // decent-lint: allow(D009) reason="(xor_distance, node) is injective: node ids are unique per entry"
-            .sort_unstable_by_key(|a| (a.key.xor_distance(target), a.node));
-        self.scratch.truncate(self.cfg.k);
+        nearest(target, &mut self.scratch, self.cfg.k);
         Interned::from_slice(&self.scratch)
     }
 
@@ -296,9 +298,8 @@ impl KadNode {
             let Some(bucket_idx) = self.key.xor_distance(&contact.key).bucket() else {
                 continue;
             };
-            let idx = KEY_BITS - 1 - bucket_idx;
             let k = self.cfg.k;
-            let bucket = &mut self.buckets[idx];
+            let bucket = self.bucket_mut(bucket_idx);
             if let Some(pos) = bucket.iter().position(|e| e.contact.node == contact.node) {
                 bucket[pos].last_seen = now;
                 continue;
@@ -356,18 +357,23 @@ impl KadNode {
         }
         // closest_into leaves the scratch buffer distance-sorted, so the
         // shortlist is born in lookup order.
-        let mut shortlist: Vec<ShortEntry> = Vec::with_capacity(self.scratch.len());
-        shortlist.extend(self.scratch.iter().map(|&contact| ShortEntry {
-            dist: contact.key.xor_distance(&target),
-            contact,
-            state: EntryState::Candidate,
-        }));
+        let shortlist: Vec<ShortEntry> = self
+            .scratch
+            .iter()
+            .map(|&contact| ShortEntry {
+                contact,
+                state: EntryState::Candidate,
+            })
+            .collect();
+        let mut known: Vec<NodeId> = self.scratch.iter().map(|c| c.node).collect();
+        known.sort_unstable();
         let lookup = Lookup {
             id,
             target,
             is_value,
             started: ctx.now(),
             shortlist,
+            known,
             inflight: 0,
             rpcs: 0,
             timeouts: 0,
@@ -393,15 +399,22 @@ impl KadNode {
     }
 
     /// Fills `out` with the `n` closest routing-table contacts to
-    /// `target`, sorted by distance. The `(distance, node)` sort key is
-    /// a total order over distinct contacts, so the unstable sort is
-    /// deterministic; distances tie only for equal keys.
+    /// `target`, sorted by `(distance, node)`.
     fn closest_into(buckets: &[Vec<BucketEntry>], target: &Key, n: usize, out: &mut Vec<Contact>) {
         out.clear();
         out.extend(buckets.iter().flatten().map(|e| e.contact));
-        // decent-lint: allow(D009) reason="(xor_distance, node) is injective: one entry per node id across buckets"
-        out.sort_unstable_by_key(|c| (c.key.xor_distance(target), c.node));
-        out.truncate(n);
+        nearest(target, out, n);
+    }
+
+    /// The bucket for a contact whose distance has its highest set bit
+    /// at `bucket_idx`, growing the bucket vector to reach it.
+    fn bucket_mut(&mut self, bucket_idx: usize) -> &mut Vec<BucketEntry> {
+        // Vector position = shared-prefix length.
+        let idx = KEY_BITS - 1 - bucket_idx;
+        if self.buckets.len() <= idx {
+            self.buckets.resize_with(idx + 1, Vec::new);
+        }
+        &mut self.buckets[idx]
     }
 
     /// Stages the k closest contacts in the scratch buffer and interns
@@ -422,12 +435,9 @@ impl KadNode {
         let Some(bucket_idx) = self.key.xor_distance(&contact.key).bucket() else {
             return;
         };
-        // Bucket index counts from the most significant differing bit;
-        // store in vector position = shared-prefix length.
-        let idx = KEY_BITS - 1 - bucket_idx;
         let k = self.cfg.k;
         let staleness = self.cfg.staleness;
-        let bucket = &mut self.buckets[idx];
+        let bucket = self.bucket_mut(bucket_idx);
         if let Some(pos) = bucket.iter().position(|e| e.contact.node == contact.node) {
             let mut e = bucket.remove(pos);
             e.last_seen = now;
@@ -567,29 +577,50 @@ impl KadNode {
         });
     }
 
+    /// Adds the contacts of a reply that are new to the lookup as
+    /// candidates, keeping the shortlist sorted by `(distance, node)`:
+    /// the new ones are ranked in the scratch buffer, then merged in
+    /// from the back. Unlike a stable sort, this needs no temp buffer.
     fn merge_contacts(&mut self, idx: SlotIdx, contacts: &[Contact], target: &Key) {
-        let my_key = self.key;
-        let Some(lookup) = self.lookups.get_mut(idx) else {
+        let Self {
+            key: my_key,
+            lookups,
+            scratch: fresh,
+            ..
+        } = self;
+        let Some(lookup) = lookups.get_mut(idx) else {
             return;
         };
+        fresh.clear();
         for &c in contacts {
-            if c.key == my_key {
+            if c.key == *my_key {
                 continue;
             }
-            if lookup.shortlist.iter().any(|e| e.contact.node == c.node) {
-                continue;
+            if let Err(pos) = lookup.known.binary_search(&c.node) {
+                lookup.known.insert(pos, c.node);
+                fresh.push(c);
             }
-            lookup.shortlist.push(ShortEntry {
-                dist: c.key.xor_distance(target),
-                contact: c,
-                state: EntryState::Candidate,
-            });
         }
-        // The in-place sort skips the stable sort's temp buffer.
-        lookup
-            .shortlist
-            // decent-lint: allow(D009) reason="(dist, node) is injective: the shortlist is deduplicated by node above"
-            .sort_unstable_by_key(|a| (a.dist, a.contact.node));
+        nearest(target, fresh, fresh.len());
+        let list = &mut lookup.shortlist;
+        // `list[..old]` holds the entries not yet merged; `list[w..]` is
+        // final.
+        let mut old = list.len();
+        let candidate = |contact| ShortEntry {
+            contact,
+            state: EntryState::Candidate,
+        };
+        list.extend(fresh.iter().copied().map(candidate));
+        let mut w = list.len();
+        for &c in fresh.iter().rev() {
+            while old > 0 && by_distance(target, &list[old - 1].contact, &c) == Ordering::Greater {
+                old -= 1;
+                w -= 1;
+                list[w] = list[old];
+            }
+            w -= 1;
+            list[w] = candidate(c);
+        }
     }
 
     fn on_reply<T: Transport<Msg = KadMsg>>(
@@ -633,6 +664,31 @@ impl KadNode {
         }
         self.drive_lookup(idx, ctx);
     }
+}
+
+/// Ranks contacts by `(distance to target, node)`. Distances tie only
+/// for equal keys, so this is a total order over distinct contacts.
+fn by_distance(target: &Key, a: &Contact, b: &Contact) -> Ordering {
+    target
+        .cmp_distance(&a.key, &b.key)
+        .then(a.node.cmp(&b.node))
+}
+
+/// Cuts `v` to its `n` contacts nearest `target`, sorted by
+/// [`by_distance`]: select the n-th, truncate, then sort the prefix.
+fn nearest(target: &Key, v: &mut Vec<Contact>, n: usize) {
+    let by = |a: &Contact, b: &Contact| by_distance(target, a, b);
+    if n == 0 {
+        v.clear();
+        return;
+    }
+    if n < v.len() {
+        // decent-lint: allow(D009) reason="(distance, node) ties only identical contacts: equal distances mean equal keys"
+        v.select_nth_unstable_by(n - 1, by);
+        v.truncate(n);
+    }
+    // decent-lint: allow(D009) reason="(distance, node) ties only identical contacts: equal distances mean equal keys"
+    v.sort_unstable_by(by);
 }
 
 /// The transport-generic protocol core: identical handler logic for
@@ -853,29 +909,30 @@ pub fn build_network<S: SchedulerFor<KadNode>>(
         .collect();
     // Seed each node with (approximately) its k XOR-closest peers. Keys
     // sorted numerically place long-shared-prefix (and therefore
-    // XOR-close) keys next to each other, so an O(k)-wide window around
-    // the node's sorted position contains the true closest set; the
-    // window is then ranked exactly. O(n log n) overall.
+    // XOR-close) keys next to each other, so a window of w = max(4k, 16)
+    // keys on each side of the node's sorted position holds the true
+    // closest set; `nearest` then ranks the window exactly in O(w) plus
+    // O(k log k). O(n log n) for the key sort, O(n (log n + w)) overall.
     let mut by_key: Vec<Contact> = contacts.clone();
     by_key.sort_by_key(|a| a.key);
     let window = (4 * cfg.k).max(16);
+    let mut near: Vec<Contact> = Vec::with_capacity(2 * window + extra_random);
     for (i, &id) in ids.iter().enumerate() {
         let me = keys[i];
         let pos = by_key.partition_point(|c| c.key < me);
         let lo = pos.saturating_sub(window);
         let hi = (pos + window).min(by_key.len());
-        let mut near: Vec<Contact> = by_key[lo..hi]
-            .iter()
-            .filter(|c| c.node != id)
-            .cloned()
-            .collect();
-        near.sort_by_key(|a| a.key.xor_distance(&me));
-        let mut seeds: Vec<Contact> = near.into_iter().take(cfg.k).collect();
+        near.clear();
+        near.extend(by_key[lo..hi].iter().filter(|c| c.node != id));
+        // Equal keys sit in node order in `by_key` (a stable sort of
+        // contacts in node order), so the node tie-break reproduces a
+        // stable sort of the window by distance.
+        nearest(&me, &mut near, cfg.k);
         for _ in 0..extra_random {
-            seeds.push(contacts[rng.gen_range(0..n)]);
+            near.push(contacts[rng.gen_range(0..n)]);
         }
         let now = sim.now();
-        sim.node_mut(id).seed_routing_table(&seeds, now);
+        sim.node_mut(id).seed_routing_table(&near, now);
     }
     ids
 }
@@ -883,6 +940,7 @@ pub fn build_network<S: SchedulerFor<KadNode>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::Distance;
 
     fn small_net(n: usize, unresponsive: f64) -> (Simulation<KadNode>, Vec<NodeId>) {
         let mut sim = Simulation::new(9, UniformLatency::from_millis(20.0, 80.0));
@@ -1060,6 +1118,62 @@ mod tests {
         n.touch(mk(3), SimTime::from_secs(20.0));
         assert!(n.closest_contacts(&me, 3).iter().any(|c| c.node == 3));
         assert_eq!(n.table_size(), 2);
+    }
+
+    #[test]
+    fn merged_shortlist_stays_sorted_and_unique() {
+        let me = Key::from_u64(0);
+        let target = Key::from_u64(1);
+        let mut n = KadNode::new(me, KadConfig::default());
+        let contact = |node: NodeId| Contact {
+            node,
+            key: Key::from_u64(node as u64 + 100),
+        };
+        let mut known: Vec<Contact> = (0..6).map(contact).collect();
+        known.sort_by(|a, b| by_distance(&target, a, b));
+        let idx = n.lookups.insert(Lookup {
+            id: 1,
+            target,
+            is_value: false,
+            started: SimTime::ZERO,
+            shortlist: known
+                .iter()
+                .map(|&contact| ShortEntry {
+                    contact,
+                    state: EntryState::Responded,
+                })
+                .collect(),
+            known: (0..6).collect(),
+            inflight: 0,
+            rpcs: 0,
+            timeouts: 0,
+        });
+        // A duplicate, an already-known node, our own key, and contacts
+        // in reverse distance order.
+        let mut reply: Vec<Contact> = (6..30).map(contact).collect();
+        reply.sort_by(|a, b| by_distance(&target, b, a));
+        reply.push(reply[4]);
+        reply.push(contact(2));
+        reply.push(Contact { node: 99, key: me });
+        n.merge_contacts(idx, &reply, &target);
+
+        let list = &n.lookups.get(idx).unwrap().shortlist;
+        assert_eq!(list.len(), 30);
+        for w in list.windows(2) {
+            assert_eq!(
+                by_distance(&target, &w[0].contact, &w[1].contact),
+                Ordering::Less
+            );
+        }
+        let mut nodes: Vec<NodeId> = list.iter().map(|e| e.contact.node).collect();
+        nodes.sort_unstable();
+        assert_eq!(nodes, (0..30).collect::<Vec<_>>());
+        assert_eq!(n.lookups.get(idx).unwrap().known, nodes);
+        // Known entries keep their state; new ones are candidates.
+        for e in list {
+            let fresh = e.contact.node >= 6;
+            assert_eq!(e.state == EntryState::Candidate, fresh, "{e:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests on the core data structures and invariants.
 
+use std::cmp::Ordering;
+
 use proptest::prelude::*;
 
 use decent::chain::block::{Block, BlockId, ChainView};
@@ -34,6 +36,20 @@ proptest! {
         // Unidirectionality: distance determines the pair's offset
         // uniquely, so d(a,b) = 0 iff a = b.
         prop_assert_eq!(a.xor_distance(&b) == Key::ZERO.xor_distance(&Key::ZERO), a == b);
+    }
+
+    #[test]
+    fn cmp_distance_is_distance_order(t in arb_key(), a in arb_key(), b in arb_key(), low in any::<u32>()) {
+        let naive = |x: &Key, y: &Key| x.xor_distance(&t).cmp(&y.xor_distance(&t));
+        prop_assert_eq!(t.cmp_distance(&a, &b), naive(&a, &b));
+        prop_assert_eq!(t.cmp_distance(&a, &a), Ordering::Equal);
+        prop_assert_eq!(t.cmp_distance(&t, &a), naive(&t, &a));
+        // `a2` differs from `a` in the last 4 bytes at most.
+        let mut a2 = *a.as_bytes();
+        a2[16..].copy_from_slice(&low.to_be_bytes());
+        let a2 = Key::from_bytes(a2);
+        prop_assert_eq!(t.cmp_distance(&a, &a2), naive(&a, &a2));
+        prop_assert_eq!(t.cmp_distance(&a2, &a), naive(&a2, &a));
     }
 
     #[test]
